@@ -10,8 +10,10 @@ equal* — so the canonicalisation lives here, once:
 * mappings serialise with sorted keys, so insertion order never changes
   the hash;
 * separators are fixed (no whitespace drift between json versions);
-* values without a native JSON form fall back to ``repr`` (stable for
-  the numeric/py-literal payloads these subsystems carry).
+* numpy arrays serialise as their ``.tolist()`` form, so a binary
+  frame's float64 grid keys exactly like the JSON list it encodes;
+* other values without a native JSON form fall back to ``repr``
+  (stable for the numeric/py-literal payloads these subsystems carry).
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 import hashlib
 import json
 from typing import Any
+
+import numpy as np
 
 __all__ = ["canonical_json", "content_hash"]
 
@@ -30,8 +34,16 @@ def canonical_json(payload: Any) -> str:
     ``{"b": 2, "a": 1}`` produce identical strings (recursively).
     """
     return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), default=repr
+        payload, sort_keys=True, separators=(",", ":"), default=_jsonable
     )
+
+
+def _jsonable(value: Any) -> Any:
+    # numpy's repr elides the middle of large arrays, so ``repr`` would
+    # map distinct grids to one key.
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return repr(value)
 
 
 def content_hash(payload: Any) -> str:

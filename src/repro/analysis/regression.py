@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from repro.exceptions import FittingError
 
@@ -138,7 +137,11 @@ def ols(
 
     with np.errstate(divide="ignore", invalid="ignore"):
         t_values = np.where(std_errors > 0, beta / std_errors, np.inf * np.sign(beta))
-    p_values = 2.0 * _scipy_stats.t.sf(np.abs(t_values), dof)
+    # Imported here: scipy costs ~1 s and ~65 MB to import, and only
+    # this one call needs it (``import repro`` must stay cheap).
+    from scipy import stats
+
+    p_values = 2.0 * stats.t.sf(np.abs(t_values), dof)
 
     tss = float(np.sum((y - y.mean()) ** 2))
     r_squared = 1.0 - rss / tss if tss > 0 else 1.0

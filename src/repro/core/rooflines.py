@@ -100,7 +100,7 @@ def _grid(
 ) -> np.ndarray:
     if intensities is not None:
         return np.asarray(sorted(intensities), dtype=float)
-    return np.asarray(log2_grid(lo, hi, points_per_octave), dtype=float)
+    return log2_grid(lo, hi, points_per_octave)
 
 
 def roofline_series(

@@ -40,6 +40,8 @@ import math
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 from repro import units
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -343,7 +345,7 @@ class CostPredictor:
         op = request.get("op")
         if op == "eval":
             grid = request.get("intensities")
-            if isinstance(grid, (list, tuple)):
+            if isinstance(grid, (list, tuple, np.ndarray)):
                 return max(1, len(grid))
             return 1
         if op == "curve":

@@ -65,6 +65,7 @@ class WireFrontend:
             raise ValueError(
                 f"wire must be 'auto', 'binary', or 'ndjson', got {wire!r}"
             )
+        wireformat.settle_allocator()
         self.metrics = metrics
         self._wire_policy = wire
         self._bind_host = host

@@ -68,6 +68,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
+import numpy as np
+
 from repro._canon import content_hash
 from repro.exceptions import ServiceError
 
@@ -163,8 +165,21 @@ _NON_SEMANTIC_FIELDS = ("id", "timeout_ms", "priority")
 
 
 def encode(payload: dict[str, Any]) -> bytes:
-    """One protocol line: compact JSON plus the newline terminator."""
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n"
+    """One protocol line: compact JSON plus the newline terminator.
+
+    A float64 array (a grid decoded from a binary frame, forwarded by
+    the router to an NDJSON backend) serialises as its list.
+    """
+    line = json.dumps(payload, separators=(",", ":"), default=_array_list)
+    return line.encode("utf-8") + b"\n"
+
+
+def _array_list(value: Any) -> list:
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable"
+    )
 
 
 def decode(line: bytes | str) -> dict[str, Any]:

@@ -41,6 +41,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+import numpy as np
+
 from repro.exceptions import ReproError, ServiceError
 from repro.service.autoscale import AutoScaler
 from repro.service.batcher import MicroBatcher
@@ -62,7 +64,6 @@ from repro.service.protocol import (
 )
 from repro.service.workers import (
     DEFAULT_RING_SLOT_SIZE,
-    DEFAULT_RING_SLOTS,
     DEFAULT_SHM_THRESHOLD,
     WorkerPool,
 )
@@ -110,8 +111,8 @@ class ServerConfig:
         Per-shard bound on concurrently submitted worker jobs; excess
         get ``overloaded`` replies.
     shm_threshold:
-        Job/reply body size (bytes) above which worker IPC uses shared
-        memory instead of the pipe.
+        With ``job_transport="pickle"``, the job/reply body size (bytes)
+        above which worker IPC uses shared memory instead of the pipe.
     wire:
         TCP framing policy.  ``"auto"`` and ``"binary"`` accept a
         client's ``hello`` offer of the binary wire format
@@ -120,11 +121,12 @@ class ServerConfig:
         ``hello`` speak NDJSON under any policy — the negotiation is
         strictly opt-in per connection.
     job_transport:
-        Worker job-body transport: ``"ring"`` (default) uses the
-        preallocated shared-memory ring arenas, ``"pickle"`` the
-        per-job pipe/shm path (the pre-ring baseline).
-    ring_slots, ring_slot_size:
-        Ring-arena geometry per shard and direction.
+        Worker job-body transport: ``"ring"`` (default) uses one
+        preallocated shared-memory slot per shard and direction,
+        ``"pickle"`` the per-job pipe/shm path (the pre-ring baseline).
+    ring_slot_size:
+        Bytes of the one ring slot per shard and direction; bigger
+        bodies spill to a per-job segment.
     plan_cache_size:
         Compiled curve-plan cache entries per engine (in-loop and per
         worker); ``0`` disables plan caching.
@@ -184,7 +186,6 @@ class ServerConfig:
     shm_threshold: int = DEFAULT_SHM_THRESHOLD
     wire: str = "auto"
     job_transport: str = "ring"
-    ring_slots: int = DEFAULT_RING_SLOTS
     ring_slot_size: int = DEFAULT_RING_SLOT_SIZE
     plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE
     admission: str = "depth"
@@ -243,7 +244,6 @@ class ModelServer(WireFrontend):
                 queue_limit=self.config.worker_queue_limit,
                 shm_threshold=self.config.shm_threshold,
                 job_transport=self.config.job_transport,
-                ring_slots=self.config.ring_slots,
                 ring_slot_size=self.config.ring_slot_size,
                 plan_cache_size=self.config.plan_cache_size,
                 metrics=self.metrics,
@@ -650,16 +650,12 @@ class ModelServer(WireFrontend):
             model = request.get("model", "time")
             metric = _required(request, "metric", str)
             if "intensities" in request:
-                grid = request["intensities"]
-                if not isinstance(grid, (list, tuple)) or not grid:
-                    raise ServiceError(
-                        BAD_REQUEST, "intensities must be a non-empty array"
-                    )
+                grid = _grid(request["intensities"])
                 if self.pool is not None:
                     self.engine.batch_calls += 1
                     values = await self.pool.submit(
                         "eval_batch",
-                        (machine, model, metric, list(map(float, grid))),
+                        (machine, model, metric, grid),
                         self.pool.key_for(machine, model),
                     )
                 else:
@@ -881,6 +877,21 @@ def _validate_config(config: ServerConfig) -> None:
             "autoscaling needs 1 <= autoscale_min <= autoscale_max, got "
             f"min={config.autoscale_min} max={config.autoscale_max}"
         )
+
+
+def _grid(grid: Any) -> np.ndarray:
+    """A request's ``intensities`` as one float64 vector.
+
+    Binary frames already decode grids to read-only float64 arrays;
+    JSON lists convert once here — the conversion the engine itself
+    would apply — so the in-loop and worker paths see the same array
+    and fail with the same error text.
+    """
+    if isinstance(grid, (list, tuple, np.ndarray)):
+        grid = np.asarray(grid, dtype=float)
+        if grid.ndim == 1 and grid.size:
+            return grid
+    raise ServiceError(BAD_REQUEST, "intensities must be a non-empty array")
 
 
 def _required(request: dict[str, Any], name: str, types: Any) -> Any:

@@ -26,24 +26,33 @@ On the wire (the pipe), a job is ``(seq, kind, body)`` and a reply is
 message)``.  Bodies in both directions are pickled bytes that travel
 one of three ways:
 
-* ``("ring", slot, length, stamp)`` — the default ``job_transport=
-  "ring"``: the bytes sit in a preallocated per-shard shared-memory
-  :class:`~repro.service.shmring.RingArena` (one per direction), and
-  only this addressing triple crosses the pipe.  One ``memcpy`` in,
-  one zero-copy ``pickle.loads`` out — no per-job segment churn, no
-  chunked pipe copy.  A stamp mismatch on read means lost protocol
-  state and is treated exactly like a worker crash.
-* ``("raw", data)`` — the bytes ride the pipe itself: payloads too big
-  for a ring slot (and everything under ``shm_threshold`` when
-  ``job_transport="pickle"``).
-* ``("shm", name, size)`` — a dedicated per-job shared-memory segment
-  for bodies above ``shm_threshold`` that the ring cannot hold.  The
+* ``("ring", length, stamp)`` — the default ``job_transport="ring"``:
+  the bytes sit in a preallocated per-shard shared-memory
+  :class:`~repro.service.shmring.RingArena` (one slot per direction),
+  and only this control pair crosses the pipe.  One ``memcpy`` in, one
+  zero-copy ``pickle.loads`` out — no per-job segment churn, no chunked
+  pipe copy.  A stamp mismatch on read means lost protocol state and is
+  treated exactly like a worker crash.
+* ``("shm", name, size)`` — a dedicated per-job shared-memory segment,
+  the single oversize path: ring bodies too big for the slot, and
+  ``job_transport="pickle"`` bodies above ``shm_threshold``.  The
   receiver unlinks it after reading.  Segment names are deterministic
   — ``rs-<pool-token>-<shard>-<seq><direction>`` — so when a worker
   dies mid-job the respawn path can reclaim any segment the dead
-  incarnation left behind (previously these leaked until interpreter
-  exit).  Ring arenas are likewise parent-owned, epoch-named, and
-  unlinked+recreated on respawn, so crashes never leak shared memory.
+  incarnation left behind.  Ring arenas are likewise parent-owned,
+  epoch-named, and unlinked+recreated on respawn, so crashes never
+  leak shared memory.
+* ``("raw", data)`` — ``job_transport="pickle"`` only: bodies up to
+  ``shm_threshold`` ride the pipe itself.
+
+Dispatch
+--------
+A job goes to the shard its routing key hashes to while that shard is
+idle, so engine memos and plan caches keep their affinity.  When the
+hashed shard already has a job in flight and another shard has fewer,
+the job spills over to the least-loaded shard instead of queueing
+behind it; every worker runs the same engine code, so the reply bytes
+do not depend on which shard answered.
 
 Failure and shutdown semantics
 ------------------------------
@@ -98,16 +107,15 @@ __all__ = [
 SHARD_BY_CHOICES = ("machine", "model")
 
 #: Job-body transports accepted by ``job_transport``.  ``"ring"`` is
-#: the amortised shared-memory path (with automatic fallback for
-#: oversized bodies); ``"pickle"`` is the PR-5 pipe/per-job-shm path,
-#: kept as the benchmark baseline and as an escape hatch.
+#: the amortised shared-memory path (oversized bodies spill per job);
+#: ``"pickle"`` is the pipe/per-job-shm path, kept as the benchmark
+#: baseline.
 JOB_TRANSPORT_CHOICES = ("ring", "pickle")
 
-#: Default ring geometry: slots per direction and bytes per slot.  One
-#: slot comfortably holds a pickled 2000-point curve reply (~32 KiB)
-#: or a 1024-point grid job; bigger bodies fall back per job.
-DEFAULT_RING_SLOTS = 8
-DEFAULT_RING_SLOT_SIZE = 1 << 18
+#: Default bytes per ring slot (one slot per direction).  It holds a
+#: pickled 20001-point curve reply (~320 KB) or a 65k-point grid job;
+#: only the pages a body touches are committed.
+DEFAULT_RING_SLOT_SIZE = 1 << 20
 
 #: Distinguishes spill/ring names of pools that share a parent pid.
 _POOL_COUNTER = itertools.count()
@@ -162,21 +170,17 @@ def _stable_shard(key: str, n: int) -> int:
 # ----------------------------------------------------------------------
 
 
-def _pack_data(
-    data: bytes, shm_threshold: int, name: str | None = None
-) -> tuple:
-    """Ship pickled bytes: small on the pipe, big through shared memory.
+def _spill(data: bytes, name: str | None) -> tuple:
+    """Ship pickled bytes through a fresh per-job shared-memory segment.
 
-    Ownership of a shared segment transfers to the *receiver*, which
-    unlinks it after reading — so the sender unregisters the segment
-    from its own resource tracker (otherwise the tracker of a
-    long-lived sender warns about every already-unlinked name at
-    process exit; Python < 3.13 has no public ``track=False``).
-    ``name`` makes the segment name deterministic so the pool can
-    reclaim it if the receiver dies before reading.
+    Ownership transfers to the *receiver*, which unlinks the segment
+    after reading — so the sender unregisters it from its own resource
+    tracker (otherwise the tracker of a long-lived sender warns about
+    every already-unlinked name at process exit; Python < 3.13 has no
+    public ``track=False``).  ``name`` makes the segment name
+    deterministic so the pool can reclaim it if the receiver dies
+    before reading.
     """
-    if len(data) <= shm_threshold:
-        return ("raw", data)
     segment = shared_memory.SharedMemory(create=True, size=len(data), name=name)
     try:
         segment.buf[: len(data)] = data
@@ -189,12 +193,21 @@ def _pack_data(
         segment.close()
 
 
-def _pack_body(
-    obj: Any, shm_threshold: int, name: str | None = None
+def _ship(
+    data: bytes,
+    ring: RingArena | None,
+    shm_threshold: int,
+    name: str | None,
 ) -> tuple:
-    """Pickle ``obj``, then ship it via :func:`_pack_data`."""
-    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    return _pack_data(data, shm_threshold, name)
+    """The body tuple for pickled bytes: the ring slot when it fits,
+    else a spill segment; without a ring, the pipe up to
+    ``shm_threshold`` and a spill above it."""
+    if ring is not None:
+        pair = ring.write(data)
+        return ("ring", *pair) if pair is not None else _spill(data, name)
+    if len(data) <= shm_threshold:
+        return ("raw", data)
+    return _spill(data, name)
 
 
 def _unpack_body(body: tuple, ring: RingArena | None = None) -> Any:
@@ -210,8 +223,8 @@ def _unpack_body(body: tuple, ring: RingArena | None = None) -> Any:
             segment.close()
             segment.unlink()
     if tag == "ring" and ring is not None:
-        _, slot, length, stamp = body
-        view = ring.read(slot, length, stamp)  # raises RingError on mismatch
+        _, length, stamp = body
+        view = ring.read(length, stamp)  # raises RingError on mismatch
         try:
             return pickle.loads(view)
         finally:
@@ -243,7 +256,7 @@ def _worker_main(
     conn: Any,
     shm_threshold: int,
     spill_prefix: str | None = None,
-    ring_spec: tuple[str, str, int, int] | None = None,
+    ring_spec: tuple[str, str, int] | None = None,
     plan_cache_size: int | None = None,
 ) -> None:
     """Entry point of one worker process: a warm engine behind a pipe.
@@ -254,14 +267,16 @@ def _worker_main(
     failure, which means protocol state is lost beyond repair: exiting
     lets the parent's crash path respawn it with fresh arenas).
 
-    ``ring_spec`` is ``(job_arena, reply_arena, slots, slot_size)`` —
+    ``ring_spec`` is ``(job_arena, reply_arena, slot_size)`` —
     parent-created arenas this worker attaches to; ``spill_prefix``
     names this worker's reply spill segments deterministically so the
     parent can reclaim them after a crash.
     """
     from repro.exceptions import ReproError
     from repro.service.engine import EvalEngine
+    from repro.service.wire import settle_allocator
 
+    settle_allocator()
     engine = (
         EvalEngine()
         if plan_cache_size is None
@@ -273,9 +288,9 @@ def _worker_main(
     # a leaked attachment keeps the segment alive past parent cleanup.
     try:
         if ring_spec is not None:
-            job_name, reply_name, slots, slot_size = ring_spec
-            job_ring = RingArena(job_name, slots, slot_size, create=False)
-            reply_ring = RingArena(reply_name, slots, slot_size, create=False)
+            job_name, reply_name, slot_size = ring_spec
+            job_ring = RingArena(job_name, slot_size, create=False)
+            reply_ring = RingArena(reply_name, slot_size, create=False)
         while True:
             try:
                 job = conn.recv()
@@ -320,18 +335,12 @@ def _worker_main(
                 reply = (seq, "err", INTERNAL, f"{type(exc).__name__}: {exc}")
             else:
                 compute = time.perf_counter() - started
-                data = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-                reply_body = None
-                if reply_ring is not None:
-                    triple = reply_ring.write(data)
-                    if triple is not None:
-                        reply_body = ("ring", *triple)
-                if reply_body is None:
-                    reply_body = _pack_data(
-                        data,
-                        shm_threshold,
-                        f"{spill_prefix}{seq:x}r" if spill_prefix else None,
-                    )
+                reply_body = _ship(
+                    pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL),
+                    reply_ring,
+                    shm_threshold,
+                    f"{spill_prefix}{seq:x}r" if spill_prefix else None,
+                )
                 reply = (seq, "ok", reply_body, compute)
             try:
                 conn.send(reply)
@@ -371,8 +380,6 @@ class _Shard:
         "reply_ring",
         "ring_jobs",
         "ring_fallbacks",
-        "ring_outstanding",
-        "ring_occupancy_hwm",
     )
 
     def __init__(self, index: int):
@@ -393,10 +400,10 @@ class _Shard:
         self.epoch = 0
         self.job_ring: RingArena | None = None
         self.reply_ring: RingArena | None = None
+        # Round trips whose bodies both rode the ring / at least one of
+        # which spilled (either direction).
         self.ring_jobs = 0
         self.ring_fallbacks = 0
-        self.ring_outstanding = 0
-        self.ring_occupancy_hwm = 0
 
 
 class WorkerCrashError(ServiceError):
@@ -425,29 +432,32 @@ class WorkerPool:
         Number of worker processes (>= 1; the server uses ``0`` to mean
         "no pool at all" and never constructs one).
     shard_by:
-        Routing-key granularity — see :func:`route_key`.
+        Routing-key granularity — see :func:`route_key`.  The key picks
+        the shard while it is idle; a busy one spills over to the
+        least-loaded shard (module docstring, *Dispatch*).
     queue_limit:
         Per-shard bound on concurrently admitted jobs; excess
         submissions raise ``overloaded`` immediately.
     shm_threshold:
-        Reply-body size (bytes) above which results travel through
-        shared memory instead of the pipe.
+        With ``job_transport="pickle"``, the body size (bytes) above
+        which bodies travel through a per-job shared-memory segment
+        instead of the pipe.
     job_transport:
         ``"ring"`` (default) sends job/reply bodies through per-shard
-        preallocated shared-memory ring arenas (oversized bodies fall
-        back per job); ``"pickle"`` keeps everything on the pipe /
-        per-job shm — the pre-ring baseline.
-    ring_slots, ring_slot_size:
-        Ring geometry per direction: slot count and bytes per slot
-        (including the slot header).
+        preallocated shared-memory slots (oversized bodies spill per
+        job); ``"pickle"`` keeps everything on the pipe / per-job shm —
+        the pre-ring baseline.
+    ring_slot_size:
+        Bytes of the one ring slot per direction (including the slot
+        header).
     plan_cache_size:
         Forwarded to each worker's :class:`EvalEngine`; ``None`` keeps
         the engine default.
     metrics:
         Optional registry; the pool records per-shard queue depth
-        gauges, job/crash counters, job/IPC-overhead timers, and (with
-        the ring transport) ring job/fallback counters plus the
-        slot-occupancy high-water mark.
+        gauges, job/crash counters, job, queue-wait and IPC-overhead
+        timers, and (with the ring transport) ring job/fallback
+        counters.
     """
 
     def __init__(
@@ -458,7 +468,6 @@ class WorkerPool:
         queue_limit: int = 256,
         shm_threshold: int = DEFAULT_SHM_THRESHOLD,
         job_transport: str = "ring",
-        ring_slots: int = DEFAULT_RING_SLOTS,
         ring_slot_size: int = DEFAULT_RING_SLOT_SIZE,
         plan_cache_size: int | None = None,
         metrics: "MetricsRegistry | None" = None,
@@ -481,7 +490,6 @@ class WorkerPool:
         self.queue_limit = queue_limit
         self.shm_threshold = shm_threshold
         self.job_transport = job_transport
-        self.ring_slots = ring_slots
         self.ring_slot_size = ring_slot_size
         self.plan_cache_size = plan_cache_size
         #: Unique token prefixing every shared-memory name this pool
@@ -509,6 +517,9 @@ class WorkerPool:
         self._job_ms = (
             metrics.histogram("worker_job_ms") if metrics else None
         )
+        self._queue_wait_ms = (
+            metrics.histogram("worker_queue_wait_ms") if metrics else None
+        )
         self._ipc_ms = (
             metrics.histogram("worker_ipc_overhead_ms") if metrics else None
         )
@@ -524,9 +535,6 @@ class WorkerPool:
         self._ring_fallbacks_total = (
             metrics.counter("ring_fallbacks_total") if use_ring else None
         )
-        self._ring_hwm_gauge = (
-            metrics.gauge("ring_occupancy_hwm") if use_ring else None
-        )
 
     # ------------------------------------------------------------------
     # Process lifecycle (always on the shard's executor thread, except
@@ -541,17 +549,12 @@ class WorkerPool:
         if self.job_transport == "ring":
             base = f"rr-{self.shm_token}-{shard.index}-{shard.epoch:x}"
             shard.job_ring = RingArena(
-                f"{base}j", self.ring_slots, self.ring_slot_size, create=True
+                f"{base}j", self.ring_slot_size, create=True
             )
             shard.reply_ring = RingArena(
-                f"{base}r", self.ring_slots, self.ring_slot_size, create=True
+                f"{base}r", self.ring_slot_size, create=True
             )
-            ring_spec = (
-                f"{base}j",
-                f"{base}r",
-                self.ring_slots,
-                self.ring_slot_size,
-            )
+            ring_spec = (f"{base}j", f"{base}r", self.ring_slot_size)
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_worker_main,
@@ -594,7 +597,6 @@ class WorkerPool:
         # of the in-flight job — the job body it never read, or the
         # reply body it built but never handed over.
         self._drop_rings(shard)
-        shard.ring_outstanding = 0
         if failed_seq is not None:
             prefix = self._spill_prefix(shard)
             for suffix in ("j", "r"):
@@ -640,10 +642,13 @@ class WorkerPool:
     async def submit(
         self, kind: str, payload: Any, key: str, *, listify: bool = True
     ) -> Any:
-        """Run one job on the shard ``key`` routes to; returns its result.
+        """Run one job, on the shard ``key`` routes to while it is idle;
+        returns its result.
 
-        Raises :class:`~repro.exceptions.ServiceError` with the worker's
-        error code on evaluation failure, ``overloaded`` when the
+        A busy hashed shard spills the job over to the least-loaded
+        shard when that one has fewer jobs in flight.  Raises
+        :class:`~repro.exceptions.ServiceError` with the worker's error
+        code on evaluation failure, ``overloaded`` when the chosen
         shard's queue is full, and ``worker_crashed`` (retriable) when
         the worker dies mid-job.
 
@@ -654,7 +659,13 @@ class WorkerPool:
         """
         if self._closing:
             raise ServiceError(INTERNAL, "worker pool is closed")
+        # No await between this lookup and the executor handoff, so a
+        # shard that ``resize`` retires can never be chosen.
         shard = self._shards[_stable_shard(key, self.workers)]
+        if shard.inflight:
+            least = min(self._shards, key=lambda s: s.inflight)
+            if least.inflight < shard.inflight:
+                shard = least
         if shard.inflight >= self.queue_limit:
             if self._rejected_total is not None:
                 self._rejected_total.inc()
@@ -670,7 +681,7 @@ class WorkerPool:
             self._depth_gauges[shard.index].set(shard.inflight)
         submitted = time.perf_counter()
         try:
-            result, compute, ringed = await loop.run_in_executor(
+            result, compute, ringed, started = await loop.run_in_executor(
                 shard.executor, self._roundtrip, shard, kind, payload
             )
         except WorkerCrashError:
@@ -683,25 +694,24 @@ class WorkerPool:
             shard.inflight -= 1
             if self._depth_gauges is not None:
                 self._depth_gauges[shard.index].set(shard.inflight)
-        elapsed = time.perf_counter() - submitted
+        finished = time.perf_counter()
         shard.jobs_total += 1
         shard.busy_seconds += compute
         if self._jobs_total is not None:
             self._jobs_total.inc()
-        if self._job_ms is not None:
-            self._job_ms.observe(to_milliseconds(elapsed))
-        if self._ipc_ms is not None:
-            # Queue wait + pickling + pipe/shm transfer: everything the
-            # job cost beyond the worker's own compute time.
-            self._ipc_ms.observe(to_milliseconds(max(0.0, elapsed - compute)))
+            self._job_ms.observe(to_milliseconds(finished - submitted))
+            # Waiting for the shard thread, then everything the round
+            # trip cost beyond the worker's own compute: pickling,
+            # transport, and the hand-back to the loop.
+            self._queue_wait_ms.observe(to_milliseconds(started - submitted))
+            self._ipc_ms.observe(
+                to_milliseconds(max(0.0, finished - started - compute))
+            )
         if self._ring_jobs_total is not None:
             if ringed:
                 self._ring_jobs_total.inc()
             else:
                 self._ring_fallbacks_total.inc()
-            self._ring_hwm_gauge.set(
-                max(s.ring_occupancy_hwm for s in self._shards)
-            )
         if listify and kind == "op":
             fields = _ARRAY_RESULT_FIELDS.get(payload[0], (None, ()))[1]
             for field in fields:
@@ -710,40 +720,24 @@ class WorkerPool:
 
     def _roundtrip(
         self, shard: _Shard, kind: str, payload: Any
-    ) -> tuple[Any, float, bool]:
+    ) -> tuple[Any, float, bool, float]:
         """Blocking send/recv on the shard thread; respawns on crash.
 
-        Returns ``(result, compute_seconds, ringed)`` where ``ringed``
-        says whether both body directions travelled through the ring
-        arenas (``False`` = at least one per-job fallback).
+        Returns ``(result, compute_seconds, ringed, started)``:
+        ``ringed`` says whether every body of the round trip rode the
+        ring slots (``False`` = a spill in either direction), and
+        ``started`` is the ``perf_counter`` stamp at which this thread
+        took the job up.
         """
+        started = time.perf_counter()
         seq = shard.next_seq
         shard.next_seq += 1
-        job_body = None
-        if shard.job_ring is not None:
-            data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-            triple = shard.job_ring.write(data)
-            if triple is not None:
-                job_body = ("ring", *triple)
-                shard.ring_jobs += 1
-                shard.ring_outstanding += 1
-                shard.ring_occupancy_hwm = max(
-                    shard.ring_occupancy_hwm, shard.ring_outstanding
-                )
-            else:
-                shard.ring_fallbacks += 1
-                job_body = _pack_data(
-                    data,
-                    self.shm_threshold,
-                    f"{self._spill_prefix(shard)}{seq:x}j",
-                )
-        if job_body is None:
-            job_body = _pack_body(
-                payload,
-                self.shm_threshold,
-                f"{self._spill_prefix(shard)}{seq:x}j",
-            )
-        ringed_job = job_body[0] == "ring"
+        job_body = _ship(
+            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
+            shard.job_ring,
+            self.shm_threshold,
+            f"{self._spill_prefix(shard)}{seq:x}j",
+        )
         try:
             shard.conn.send((seq, kind, job_body))
             reply = shard.conn.recv()
@@ -756,12 +750,17 @@ class WorkerPool:
             raise WorkerCrashError(
                 shard.index, type(exc).__name__
             ) from exc
-        finally:
-            if ringed_job:
-                shard.ring_outstanding -= 1
         if reply[0] != seq:  # pragma: no cover - protocol corruption
             self._respawn(shard, seq)
             raise WorkerCrashError(shard.index, "out-of-sequence reply")
+        ringed = job_body[0] == "ring" and (
+            reply[1] == "err" or reply[2][0] == "ring"
+        )
+        if shard.job_ring is not None:
+            if ringed:
+                shard.ring_jobs += 1
+            else:
+                shard.ring_fallbacks += 1
         if reply[1] == "err":
             raise ServiceError(reply[2], reply[3])
         try:
@@ -771,7 +770,7 @@ class WorkerPool:
             raise WorkerCrashError(
                 shard.index, f"reply ring validation failed: {exc}"
             ) from exc
-        return result, reply[3], ringed_job and reply[2][0] == "ring"
+        return result, reply[3], ringed, started
 
     # ------------------------------------------------------------------
     # Shutdown
@@ -925,12 +924,8 @@ class WorkerPool:
         }
         if self.job_transport == "ring":
             stats["ring"] = {
-                "slots": self.ring_slots,
                 "slot_size": self.ring_slot_size,
                 "jobs": sum(s.ring_jobs for s in self._shards),
                 "fallbacks": sum(s.ring_fallbacks for s in self._shards),
-                "occupancy_hwm": max(
-                    s.ring_occupancy_hwm for s in self._shards
-                ),
             }
         return stats

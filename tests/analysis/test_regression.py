@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -107,3 +112,18 @@ class TestFailureModes:
         x = np.linspace(0, 1, 10)
         with pytest.raises(FittingError, match="names"):
             ols(design_with_intercept(x), x, names=("only-one",))
+
+
+def test_importing_the_service_does_not_import_scipy():
+    """scipy is imported lazily inside :func:`ols`: it costs ~1 s and
+    ~65 MB per process, and the serving stack never fits a model."""
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    probe = "import sys, repro.service; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"

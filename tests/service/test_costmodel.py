@@ -22,6 +22,7 @@ from __future__ import annotations
 import asyncio
 import json
 
+import numpy as np
 import pytest
 
 from repro import units
@@ -104,6 +105,19 @@ class TestPrediction:
         ) == 81
         assert size({"op": "curve", "lo": "junk", "hi": 2.0}) == 2
         assert size({"op": "balance"}) == 1
+
+    def test_request_size_counts_an_ndarray_grid(self):
+        """Binary frames decode grids to float64 arrays: the same points
+        as the list form, so the same size and the same estimate."""
+        predictor = make_predictor()
+        grid = [float(i) for i in range(1, 8193)]
+        as_list = {"op": "eval", "machine": MACHINES[0], "model": "time",
+                   "intensities": grid}
+        as_array = {**as_list, "intensities": np.array(grid)}
+        assert predictor._request_size(as_array) == 8192
+        got = predictor.estimate_request(as_array)
+        want = predictor.estimate_request(as_list)
+        assert (got.seconds, got.joules) == (want.seconds, want.joules)
 
 
 class TestRefinement:

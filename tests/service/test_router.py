@@ -160,6 +160,47 @@ class TestByteIdentity:
         run(scenario())
 
 
+class TestGridForwarding:
+    def test_binary_grid_reaches_an_ndjson_backend(self):
+        """A binary client's grid decodes to a float64 array at the
+        router; forwarding it over an NDJSON backend link must send the
+        same list a direct NDJSON client would have sent."""
+        grid = [2.0 ** (k / 16.0) for k in range(-48, 144)]
+        request = {
+            "op": "eval", "machine": MACHINES[0], "model": "capped",
+            "metric": "energy_per_flop", "intensities": grid,
+        }
+
+        async def ask(host, port, wire):
+            client = await AsyncServiceClient.connect(host, port, wire=wire)
+            try:
+                # Bounded: a forwarding failure must fail the test, not
+                # hang it.
+                async with asyncio.timeout(30):
+                    reply = await client.request(dict(request, id=1))
+                return encode(reply)
+            finally:
+                await client.close()
+
+        async def scenario():
+            backends, addresses = await start_backends(1)
+            router = RouterServer(
+                addresses, RouterConfig(backend_wire="ndjson")
+            )
+            rhost, rport = await router.start()
+            try:
+                direct = await ask(*backends[0].address, "ndjson")
+                routed = await ask(rhost, rport, "binary")
+            finally:
+                await router.stop()
+                await backends[0].stop()
+            return direct, routed
+
+        direct, routed = run(scenario())
+        assert b'"ok":true' in direct
+        assert routed == direct
+
+
 class TestRouting:
     def test_same_machine_sticks_to_one_backend(self):
         async def scenario():

@@ -336,6 +336,12 @@ class TestErrorReplies:
               "metric": "time_per_flop", "intensity": True},
              "bad_request", "intensity"),
             ({"op": 7}, "bad_request", "op"),
+            ({"op": "eval", "machine": MACHINES[0], "model": "time",
+              "metric": "time_per_flop", "intensities": [[1.0, 2.0]]},
+             "bad_request", "non-empty"),
+            ({"op": "eval", "machine": MACHINES[0], "model": "time",
+              "metric": "time_per_flop", "intensities": "1,2"},
+             "bad_request", "non-empty"),
         ],
     )
     def test_machine_readable_codes(self, request_body, expected_code, fragment):

@@ -27,7 +27,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import platform
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +48,7 @@ from repro.service.protocol import (
     encode,
     error_response,
     ok_response,
+    request_cache_key,
 )
 from repro.service.server import ModelServer, ServerConfig
 from repro.service.wire import (
@@ -76,6 +82,48 @@ def decode_frame(frame: bytes):
 # ---------------------------------------------------------------------------
 
 
+#: Builds 50 curve-sized frames in a fresh interpreter (so no earlier
+#: import has moved malloc's thresholds) and prints the minor page
+#: faults they cost.
+_FAULT_PROBE = """
+import resource, sys
+import numpy as np
+from repro.service.protocol import ok_response
+from repro.service.wire import KIND_RESPONSE, encode_frame, settle_allocator
+if sys.argv[1] == "settle":
+    settle_allocator()
+arrays = {"intensities": np.arange(1.0, 20002.0)}
+arrays["values"] = arrays["intensities"] * 0.5
+envelope = ok_response(1, {"label": "curve", "units": ""})
+encode_frame(KIND_RESPONSE, 1, envelope, arrays=arrays)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    encode_frame(KIND_RESPONSE, 1, envelope, arrays=arrays)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="glibc malloc behaviour"
+)
+def test_settled_allocator_builds_curve_frames_without_page_faults():
+    """After ``settle_allocator`` a 20001-point curve frame (~320 KB)
+    reuses heap pages instead of faulting in a fresh mapping per frame."""
+    src = str(Path(wireformat.__file__).resolve().parents[2])
+
+    def faults(mode: str) -> int:
+        out = subprocess.run(
+            [sys.executable, "-c", _FAULT_PROBE, mode],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        return int(out.stdout)
+
+    unsettled, settled = faults("raw"), faults("settle")
+    assert settled < 50, (unsettled, settled)
+    assert unsettled > 10 * max(settled, 1), (unsettled, settled)
+
+
 class TestFrameRoundTrip:
     def test_request_intensities_lift_into_a_section(self):
         grid = (2.0 ** np.linspace(-3, 6, 64)).tolist()
@@ -85,7 +133,12 @@ class TestFrameRoundTrip:
         assert nsections == 2  # JSON envelope + one array section
         kind, seq, decoded = decode_frame(frame)
         assert (kind, seq) == (KIND_REQUEST, 7)
-        assert decoded == request  # == on floats: bit-identity
+        # Request grids decode to read-only float64 arrays, whose
+        # ``.tolist()`` is the sent list (== on floats: bit-identity).
+        array = decoded["intensities"]
+        assert isinstance(array, np.ndarray) and array.dtype == np.float64
+        assert not array.flags.writeable
+        assert {**decoded, "intensities": array.tolist()} == request
 
     def test_short_float_lists_stay_in_json(self):
         request = {"id": 1, "op": "eval", "intensities": [1.0, 2.0, 4.0]}
@@ -601,3 +654,61 @@ class TestWireEquivalence:
     def test_topologies_agree(self):
         """workers=0 and workers=4 serve identical payloads (binary)."""
         assert self._payloads("binary", 0) == self._payloads("binary", 4)
+
+
+class TestGridRequests:
+    """Binary request grids stay float64 arrays end to end; NDJSON grids
+    are lists.  Both forms must answer, key the cache, and count cost
+    identically."""
+
+    GRID = {
+        "op": "eval",
+        "machine": "gtx580-double",
+        "model": "capped",
+        "metric": "energy_per_flop",
+        "intensities": (2.0 ** np.linspace(-3.0, 9.0, 1000)).tolist(),
+    }
+
+    def test_array_and_list_forms_share_one_cache_key(self):
+        grid = np.array(self.GRID["intensities"])
+        as_array = {**self.GRID, "intensities": grid}
+        assert request_cache_key(as_array) == request_cache_key(self.GRID)
+        # numpy's repr elides the middle of long arrays; the key must not.
+        nudged = as_array["intensities"].copy()
+        nudged[500] = np.nextafter(nudged[500], 0.0)
+        assert request_cache_key(
+            {**self.GRID, "intensities": nudged}
+        ) != request_cache_key(as_array)
+
+    @pytest.mark.parametrize("first", ["ndjson", "binary"])
+    def test_grid_eval_identical_across_framings_and_workers(self, first):
+        second = "binary" if first == "ndjson" else "ndjson"
+
+        async def scenario(workers):
+            server = await start_server(cache_size=64, workers=workers)
+            host, port = server.address
+            if server.pool is not None:
+                await server.pool.ready()
+            try:
+                replies = []
+                for wire in (first, second):
+                    client = await AsyncServiceClient.connect(
+                        host, port, wire=wire
+                    )
+                    try:
+                        replies.append(await client.request(dict(self.GRID)))
+                    finally:
+                        await client.close()
+                return replies
+            finally:
+                await server.stop()
+
+        results = []
+        for workers in (0, 2):
+            computed, cached = run(scenario(workers))
+            assert computed["ok"] and "cached" not in computed
+            # The second framing hit the entry the first one stored.
+            assert cached.get("cached") is True
+            results += [computed["result"], cached["result"]]
+        assert len({canonical_json(result) for result in results}) == 1
+        assert len(results[0]["values"]) == len(self.GRID["intensities"])

@@ -26,6 +26,7 @@ from repro._canon import canonical_json
 from repro.exceptions import ServiceError
 from repro.service.engine import EvalEngine
 from repro.service.loadgen import build_requests
+from repro.service.metrics import MetricsRegistry
 from repro.service.server import ModelServer, ServerConfig
 from repro.service.workers import (
     WorkerCrashError,
@@ -241,6 +242,105 @@ class TestWorkerPool:
             assert proc.exitcode == 0
 
 
+class TestDispatch:
+    """Idle-shard spill-over: the hashed shard while it is idle, the
+    least-loaded shard once it is busy."""
+
+    # ~200k points: holds a shard busy for tens of milliseconds.
+    LONG_CURVE = (
+        "op",
+        (
+            "curve",
+            {
+                "machine_key": MACHINES[0],
+                "kind": "archline",
+                "points_per_octave": 20000,
+            },
+        ),
+    )
+
+    def test_idle_pool_uses_the_hashed_shard(self):
+        async def scenario():
+            pool = WorkerPool(2)
+            try:
+                await pool.ready()
+                for machine in MACHINES * 3:
+                    await pool.submit(
+                        "op", ("balance", {"machine_key": machine}), machine
+                    )
+                return [s["jobs"] for s in pool.stats()["shards"]]
+            finally:
+                await pool.close()
+
+        jobs = run(scenario())
+        expected = [0, 0]
+        for machine in MACHINES * 3:
+            expected[_stable_shard(machine, 2)] += 1
+        assert jobs == expected
+
+    def test_busy_shard_spills_over_to_the_idle_one(self):
+        key = MACHINES[0]
+        home = _stable_shard(key, 2)
+        job = ("op", ("balance", {"machine_key": MACHINES[1]}))
+
+        async def scenario():
+            pool = WorkerPool(2)
+            try:
+                await pool.ready()
+                long = asyncio.ensure_future(
+                    pool.submit(*self.LONG_CURVE, key)
+                )
+                await asyncio.sleep(0)  # the curve is now in flight
+                assert pool._shards[home].inflight == 1
+                spilled = await pool.submit(*job, key)
+                jobs = [s["jobs"] for s in pool.stats()["shards"]]
+                await long
+                hashed = await pool.submit(*job, key)  # idle again
+                return spilled, hashed, jobs
+            finally:
+                await pool.close()
+
+        spilled, hashed, jobs = run(scenario())
+        # The short job ran on the other shard while the curve held its
+        # own, and answered the same bytes the hashed shard does.
+        assert jobs[1 - home] == 1 and jobs[home] == 0
+        assert canonical_json(spilled) == canonical_json(hashed)
+        assert spilled == EvalEngine().balance(MACHINES[1])
+
+    def test_queue_wait_is_not_billed_as_ipc(self):
+        """A job queued behind a long curve on a one-shard pool waits
+        in ``worker_queue_wait_ms``; ``worker_ipc_overhead_ms`` keeps
+        only its round trip minus compute."""
+
+        async def scenario():
+            metrics = MetricsRegistry()
+            pool = WorkerPool(1, metrics=metrics)
+            try:
+                await pool.ready()
+                long = asyncio.ensure_future(
+                    pool.submit(*self.LONG_CURVE, "k")
+                )
+                await asyncio.sleep(0)
+                await pool.submit(
+                    "op", ("balance", {"machine_key": MACHINES[0]}), "k"
+                )
+                await long
+                busy = pool.stats()["shards"][0]["busy_seconds"]
+            finally:
+                await pool.close()
+            return metrics.snapshot()["histograms"], busy
+
+        histograms, busy = run(scenario())
+        wait = histograms["worker_queue_wait_ms"]
+        ipc = histograms["worker_ipc_overhead_ms"]
+        assert wait["count"] == ipc["count"] == 2
+        # The balance job waited out the curve's compute (nearly all of
+        # the shard's busy time)...
+        assert wait["max"] >= 0.5 * busy * 1e3
+        # ...and none of that wait shows up as IPC.
+        assert ipc["max"] < wait["max"]
+
+
 class TestServerEquivalence:
     """Satellite: worker count is invisible in the response bytes."""
 
@@ -417,8 +517,8 @@ class TestRingTransport:
 
     def test_ring_carries_jobs_and_oversize_falls_back(self):
         # A 2000-point grid pickles well past a 4 KiB slot, so that
-        # job must take the per-job fallback path; the balance job
-        # fits in a slot and rides the ring.
+        # job must take the per-job spill path; the balance job fits
+        # in the slot and rides the ring.
         grid = [float(i) for i in range(1, 2001)]
         big_job = (
             "eval_batch",
@@ -427,7 +527,7 @@ class TestRingTransport:
         )
 
         async def scenario():
-            pool = WorkerPool(1, ring_slots=4, ring_slot_size=4096)
+            pool = WorkerPool(1, ring_slot_size=4096)
             try:
                 await pool.ready()
                 small = await pool.submit(*self.BALANCE_JOB)
@@ -440,10 +540,9 @@ class TestRingTransport:
         small, big, stats = run(scenario())
         assert stats["job_transport"] == "ring"
         ring = stats["ring"]
-        assert ring["slots"] == 4 and ring["slot_size"] == 4096
+        assert ring["slot_size"] == 4096
         assert ring["jobs"] >= 1          # the balance job rode a slot
         assert ring["fallbacks"] >= 1     # the big grid spilled
-        assert ring["occupancy_hwm"] >= 1
         assert small == EvalEngine().balance(MACHINES[0])
         assert len(big) == 2000
 
@@ -452,7 +551,7 @@ class TestRingTransport:
 
         async def run_jobs(transport):
             pool = WorkerPool(
-                1, job_transport=transport, ring_slots=2, ring_slot_size=2048
+                1, job_transport=transport, ring_slot_size=2048
             )
             try:
                 await pool.ready()
@@ -494,11 +593,9 @@ class TestRingTransport:
         ring arenas rather than strand them."""
 
         async def scenario():
-            # Tiny ring capacity + tiny spill threshold: every real job
-            # body takes the per-job spill path.
-            pool = WorkerPool(
-                1, shm_threshold=64, ring_slots=2, ring_slot_size=64
-            )
+            # Tiny ring capacity: every real job body takes the per-job
+            # spill path.
+            pool = WorkerPool(1, ring_slot_size=64)
             token = pool.shm_token
             try:
                 await pool.ready()
@@ -532,6 +629,33 @@ class TestRingTransport:
         assert after == EvalEngine().balance(MACHINES[0])
         # ...and close() leaves nothing of this pool behind.
         assert leftovers == []
+
+    def test_reply_overflow_counts_as_a_fallback(self):
+        """A job that fits the slot but whose reply does not is a
+        fallback too — in ``stats`` and in the counters alike."""
+
+        async def scenario():
+            metrics = MetricsRegistry()
+            # A ~4k-point curve reply (~64 KB) overflows a 4 KiB slot;
+            # its job body (a few kwargs) fits.
+            pool = WorkerPool(1, ring_slot_size=4096, metrics=metrics)
+            try:
+                await pool.ready()
+                before = pool.stats()["ring"]
+                curve = await pool.submit(*self.CURVE_JOB)
+                after = pool.stats()["ring"]
+            finally:
+                await pool.close()
+            return metrics.snapshot()["counters"], before, after, curve
+
+        counters, before, after, curve = run(scenario())
+        assert after["fallbacks"] - before["fallbacks"] == 1
+        assert after["jobs"] == before["jobs"]
+        assert counters["ring_fallbacks_total"] == 1
+        assert counters.get("ring_jobs_total", 0) == 0
+        assert curve == EvalEngine().curve(
+            MACHINES[0], "roofline", points_per_octave=400
+        )
 
     def test_close_unlinks_ring_arenas(self):
         async def scenario():

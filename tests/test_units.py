@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.units import (
     BYTES_PER_DOUBLE,
@@ -84,6 +86,25 @@ class TestLog2Grid:
     def test_strictly_increasing(self):
         grid = log2_grid(0.25, 64.0, points_per_octave=3)
         assert all(a < b for a, b in zip(grid, grid[1:]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lo_exp=st.floats(-20.0, 20.0),
+        octaves=st.floats(0.0, 16.0),
+        points_per_octave=st.integers(1, 400),
+    )
+    def test_bit_identical_to_scalar_reference(
+        self, lo_exp, octaves, points_per_octave
+    ):
+        """Every point is exactly ``2.0 ** (lo_l + i * step)``."""
+        lo = 2.0 ** lo_exp
+        hi = lo * 2.0 ** octaves
+        lo_l, hi_l = math.log2(lo), math.log2(hi)
+        n = max(2, int(round((hi_l - lo_l) * points_per_octave)) + 1)
+        step = (hi_l - lo_l) / (n - 1)
+        reference = [2.0 ** (lo_l + i * step) for i in range(n)]
+        grid = log2_grid(lo, hi, points_per_octave).tolist()
+        assert [x.hex() for x in grid] == [x.hex() for x in reference]
 
     def test_validation(self):
         with pytest.raises(ValueError):
